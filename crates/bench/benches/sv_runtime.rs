@@ -6,18 +6,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fedchain::config::FlConfig;
 use fedchain::contract_fl::AccuracyUtility;
 use fedchain::ground_truth::RetrainUtility;
 use fedchain::world::World;
 use fl_ml::dataset::SyntheticDigits;
-use fl_ml::TrainConfig;
+use fl_ml::metrics::accuracy;
+use fl_ml::{Design, LogisticModel, TrainConfig};
 use numeric::linalg::mean_vectors;
+use numeric::stats::argmax;
 use shapley::coalition::{binomial, Coalition};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimator};
 use shapley::exact_shapley;
-use shapley::group::{group_shapley, shapley_over_group_models, GroupModelGame, GroupSvConfig};
+use shapley::group::{
+    group_shapley, grouping, permutation, shapley_over_group_models, GroupModelGame, GroupSvConfig,
+};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
 use shapley::utility::{model_utility_fn, CachedUtility, ModelUtility};
@@ -216,6 +221,127 @@ fn bench_sv_estimator(c: &mut Criterion) {
     group.finish();
 }
 
+/// The accuracy utility as it was before the certified argmax: one
+/// logits GEMM, the full softmax matrix, then a row-wise argmax — the
+/// probability path [`fl_ml::LogisticModel::predict_proba_design`] keeps.
+/// The `accuracy_utility/softmax/8` entries in `BENCH_sv_runtime.json`
+/// are this utility against the library's [`AccuracyUtility`].
+struct SoftmaxAccuracy {
+    test_design: Design,
+    num_features: usize,
+    num_classes: usize,
+}
+
+impl SoftmaxAccuracy {
+    fn accuracy(&self, model: &LogisticModel) -> f64 {
+        let proba = model.predict_proba_design(&self.test_design);
+        let predictions: Vec<usize> = (0..proba.rows())
+            .map(|r| argmax(proba.row(r)).expect("non-empty probability row"))
+            .collect();
+        accuracy(&predictions, self.test_design.labels())
+    }
+}
+
+impl ModelUtility for SoftmaxAccuracy {
+    fn of_model(&self, weights: &[f64]) -> f64 {
+        self.accuracy(&LogisticModel::from_flat(
+            weights,
+            self.num_features,
+            self.num_classes,
+        ))
+    }
+
+    fn of_empty(&self) -> f64 {
+        self.accuracy(&LogisticModel::zeros(self.num_features, self.num_classes))
+    }
+}
+
+/// Gate utility: evaluates every coalition through both paths, asserts
+/// the accuracies are bit-equal and counts the comparisons.
+struct BitEqualityGate<'a> {
+    library: &'a AccuracyUtility,
+    softmax: &'a SoftmaxAccuracy,
+    checked: AtomicUsize,
+}
+
+impl BitEqualityGate<'_> {
+    fn check(&self, library: f64, softmax: f64) -> f64 {
+        assert_eq!(
+            library.to_bits(),
+            softmax.to_bits(),
+            "certified argmax diverged from the softmax path"
+        );
+        self.checked.fetch_add(1, Ordering::Relaxed);
+        library
+    }
+}
+
+impl ModelUtility for BitEqualityGate<'_> {
+    fn of_model(&self, weights: &[f64]) -> f64 {
+        self.check(
+            self.library.of_model(weights),
+            self.softmax.of_model(weights),
+        )
+    }
+
+    fn of_empty(&self) -> f64 {
+        self.check(self.library.of_empty(), self.softmax.of_empty())
+    }
+}
+
+/// GroupSV's exact enumeration at m = 8 with the real accuracy utility
+/// on the paper world (1124 test rows × 65 conditioned inputs, 10
+/// classes): the per-coalition inference cost every miner and auditor
+/// re-executes. The 8 group models average the 9 owners' first-round
+/// updates over the protocol's seeded grouping. Before sampling, all 256
+/// coalition accuracies are asserted bit-equal between the library's
+/// certified-argmax utility and the softmax-then-argmax path.
+fn bench_accuracy_utility(c: &mut Criterion) {
+    let m = 8usize;
+    let mut config = FlConfig::paper_setting();
+    config.sigma = 1.0;
+    let world = World::generate(&config).expect("valid config");
+    let updates = world.local_updates(&config);
+    let pi = permutation(config.permutation_seed, 0, config.num_owners);
+    let group_models: Vec<Vec<f64>> = grouping(&pi, m)
+        .iter()
+        .map(|members| {
+            let member_updates: Vec<Vec<f64>> =
+                members.iter().map(|&i| updates[i].clone()).collect();
+            mean_vectors(&member_updates)
+        })
+        .collect();
+    let library = AccuracyUtility::new(&world.test, config.data.features, config.data.classes);
+    let softmax = SoftmaxAccuracy {
+        test_design: Design::new(&world.test),
+        num_features: config.data.features,
+        num_classes: config.data.classes,
+    };
+
+    let gate = BitEqualityGate {
+        library: &library,
+        softmax: &softmax,
+        checked: AtomicUsize::new(0),
+    };
+    let (_, evaluations) = shapley_over_group_models(&group_models, &gate);
+    assert_eq!(evaluations, 1 << m);
+    assert_eq!(gate.checked.load(Ordering::Relaxed), 1 << m);
+
+    let mut group = c.benchmark_group("accuracy_utility");
+    group.sample_size(10);
+    group.bench_with_input(
+        BenchmarkId::new("softmax", m),
+        &group_models,
+        |b, models| b.iter(|| shapley_over_group_models(black_box(models), &softmax)),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("certified", m),
+        &group_models,
+        |b, models| b.iter(|| shapley_over_group_models(black_box(models), &library)),
+    );
+    group.finish();
+}
+
 /// Dropout recovery (the round state machine's Recovering→Evaluated
 /// work): reconstruct the dropped DH keys from their Shamir escrow
 /// shares (verified against the advertised public keys) and strip the
@@ -328,6 +454,7 @@ criterion_group!(
     bench_native_sv,
     bench_group_sv_models,
     bench_sv_estimator,
+    bench_accuracy_utility,
     bench_secure_agg_recovery
 );
 criterion_main!(benches);

@@ -7,6 +7,7 @@
 
 use fl_chain::codec::{Decode, DecodeError, Encode, Reader};
 use fl_ml::dataset::SyntheticDigits;
+use fl_ml::split::train_len;
 use fl_ml::TrainConfig;
 use shapley::coalition::{MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
 use shapley::hierarchy::CohortPlan;
@@ -262,6 +263,26 @@ pub enum ConfigError {
         /// The cohort's size.
         size: usize,
     },
+    /// Fewer than two classes: there is nothing to classify.
+    TooFewClasses(usize),
+    /// Zero input features.
+    NoFeatures,
+    /// The train/test split leaves the test set empty: the utility
+    /// function would have nothing to evaluate on.
+    EmptyTestSet {
+        /// Generated examples.
+        instances: usize,
+        /// Examples on the training side, `round(instances · train_fraction)`.
+        train: usize,
+    },
+    /// The training side holds fewer examples than there are owners, so
+    /// some owner would get an empty shard.
+    TooFewTrainExamples {
+        /// Examples on the training side, `round(instances · train_fraction)`.
+        train: usize,
+        /// Owner count.
+        owners: usize,
+    },
     /// Miner committee larger than the owner set.
     BadMinerCommittee {
         /// Requested committee size.
@@ -348,6 +369,20 @@ impl std::fmt::Display for ConfigError {
                     "round {round} drops all {size} members of cohort {cohort}"
                 )
             }
+            Self::TooFewClasses(n) => write!(f, "need >= 2 classes, got {n}"),
+            Self::NoFeatures => write!(f, "need at least one feature"),
+            Self::EmptyTestSet { instances, train } => {
+                write!(
+                    f,
+                    "split puts {train} of {instances} examples in training, leaving no test set"
+                )
+            }
+            Self::TooFewTrainExamples { train, owners } => {
+                write!(
+                    f,
+                    "{train} training examples cannot be sharded across {owners} owners"
+                )
+            }
             Self::BadMinerCommittee { committee, owners } => {
                 write!(f, "miner committee {committee} exceeds {owners} owners")
             }
@@ -418,6 +453,25 @@ impl FlConfig {
         }
         if self.sigma < 0.0 {
             return Err(ConfigError::NegativeSigma(self.sigma));
+        }
+        if self.data.classes < 2 {
+            return Err(ConfigError::TooFewClasses(self.data.classes));
+        }
+        if self.data.features == 0 {
+            return Err(ConfigError::NoFeatures);
+        }
+        let train = train_len(self.data.instances, self.train_fraction);
+        if train >= self.data.instances {
+            return Err(ConfigError::EmptyTestSet {
+                instances: self.data.instances,
+                train,
+            });
+        }
+        if train < self.num_owners {
+            return Err(ConfigError::TooFewTrainExamples {
+                train,
+                owners: self.num_owners,
+            });
         }
         self.sv_method.validate_groups(self.num_groups)?;
         if self.num_cohorts == 0 || self.num_cohorts > self.num_owners {
@@ -583,6 +637,53 @@ mod tests {
         let mut c = base();
         c.sigma = -0.1;
         assert!(matches!(c.validate(), Err(ConfigError::NegativeSigma(_))));
+    }
+
+    #[test]
+    fn too_few_classes_rejected() {
+        let mut c = FlConfig::quick_demo();
+        c.data.classes = 1;
+        assert_eq!(c.validate(), Err(ConfigError::TooFewClasses(1)));
+    }
+
+    #[test]
+    fn zero_features_rejected() {
+        let mut c = FlConfig::quick_demo();
+        c.data.features = 0;
+        assert_eq!(c.validate(), Err(ConfigError::NoFeatures));
+    }
+
+    #[test]
+    fn split_without_test_examples_rejected() {
+        // round(9 · 0.95) = round(8.55) = 9: every example trains.
+        let mut c = FlConfig::quick_demo();
+        c.data.instances = 9;
+        c.train_fraction = 0.95;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::EmptyTestSet {
+                instances: 9,
+                train: 9
+            })
+        );
+    }
+
+    #[test]
+    fn split_with_fewer_train_examples_than_owners_rejected() {
+        // round(3 · 0.8) = 2 training examples for 4 owners.
+        let mut c = FlConfig::quick_demo();
+        c.data.instances = 3;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooFewTrainExamples {
+                train: 2,
+                owners: 4
+            })
+        );
+        // Exactly one training example per owner is enough.
+        c.data.instances = 5;
+        assert_eq!(train_len(5, c.train_fraction), 4);
+        c.validate().unwrap();
     }
 
     #[test]

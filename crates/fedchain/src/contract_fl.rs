@@ -711,10 +711,15 @@ pub fn sharded_round_groups(
 ///
 /// The test set is conditioned into a prepared design **once** at
 /// construction; every `of_model` call — GroupSV issues `2^m` of them
-/// per round — then runs one GEMM over the cached design instead of
-/// re-scaling and re-bias-extending the test matrix. The accuracy values
-/// are bit-identical to the uncached pipeline, so state digests and
-/// round records are unaffected.
+/// per round, and every miner and auditor re-executes them all — then
+/// runs one GEMM over the cached design followed by the certified argmax
+/// of [`LogisticModel::predict_design`]: a test row's class is read off
+/// its logits (the first index `k` of the maximum) whenever every logit
+/// is finite and every earlier logit is more than `2⁻³⁰` below `z_k`,
+/// and only the remaining near-tie or non-finite rows take a softmax.
+/// The margin makes the class provably the one the softmax-then-argmax
+/// path returns, so the accuracy values are bit-identical to it and state
+/// digests and round records are unaffected.
 pub struct AccuracyUtility {
     test_design: fl_ml::Design,
     num_features: usize,

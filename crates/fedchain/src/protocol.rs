@@ -1519,6 +1519,24 @@ mod tests {
         assert!(matches!(FlProtocol::new(c), Err(ProtocolError::Config(_))));
     }
 
+    #[test]
+    fn unbuildable_worlds_are_typed_errors_not_panics() {
+        let variants: [fn(&mut FlConfig); 4] = [
+            |c| c.data.instances = 3,
+            |c| {
+                c.data.instances = 9;
+                c.train_fraction = 0.95;
+            },
+            |c| c.data.classes = 1,
+            |c| c.data.features = 0,
+        ];
+        for tweak in variants {
+            let mut c = quick();
+            tweak(&mut c);
+            assert!(matches!(FlProtocol::new(c), Err(ProtocolError::Config(_))));
+        }
+    }
+
     /// 8 owners in 2 cohorts of 4, 2 secure-agg groups per cohort.
     fn sharded() -> FlConfig {
         let mut config = quick();

@@ -13,7 +13,6 @@
 //! * [`split`] — train/test split and per-owner sharding.
 //! * [`logreg`] — multinomial (softmax) logistic regression trained with
 //!   full-batch gradient descent, the paper's local trainer.
-//! * [`fedavg`] — FedAvg over flat weight vectors.
 //! * [`metrics`] — accuracy and friends; test-set accuracy is the paper's
 //!   utility function `u(·)`.
 
@@ -21,12 +20,10 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod fedavg;
 pub mod logreg;
 pub mod metrics;
 pub mod noise;
 pub mod rng;
-pub mod sgd;
 pub mod split;
 
 pub use dataset::{Dataset, DatasetView, SyntheticDigits};

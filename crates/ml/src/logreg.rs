@@ -19,6 +19,27 @@
 //! are bit-identical for any thread count — and bit-identical to the
 //! original unfused loop, whose operation order the fused pass preserves
 //! exactly.
+//!
+//! Hard predictions ([`LogisticModel::predict`],
+//! [`LogisticModel::predict_design`]) are one logits GEMM plus a
+//! **certified argmax**, with no softmax matrix. The softmax is strictly
+//! monotone within a row, so the class is read off the logits directly:
+//! for each row, `k` is the first index of the maximum logit, and it is
+//! returned when every logit is finite and every *earlier* logit lies
+//! more than a margin of `2⁻³⁰` below it (`z_j − z_k < −2⁻³⁰`). Those
+//! conditions certify the answer of the probability path: there class
+//! `k` gets the numerator `exp(0) = 1`, every earlier class at most
+//! `exp(−2⁻³⁰) ≤ 1 − 9·10⁻¹⁰` — millions of ulps below 1 — so the
+//! correctly rounded division by the common row sum keeps them strictly
+//! below `p_k`; later classes have `z_j ≤ z_k`, can at most tie `p_k`,
+//! and lose the tie to the first index exactly as `stats::argmax` breaks
+//! it. Every other row (an earlier class within the margin, or a
+//! non-finite logit) falls back to that row's softmax followed by
+//! `argmax`. Predictions are therefore bit-identical to the argmax of
+//! [`LogisticModel::predict_proba`] / [`LogisticModel::predict_proba_design`]
+//! on every input, while `exp` runs only on rows that could tie. The
+//! softmax stays where probabilities are consumed: `predict_proba*`, the
+//! training residual and [`LogisticModel::log_loss`].
 
 use numeric::stats::argmax;
 use numeric::Matrix;
@@ -95,28 +116,6 @@ impl Design {
             x,
             labels,
             num_classes: view.num_classes(),
-        }
-    }
-
-    /// Gathers the rows at `indices` into a new design (used by the
-    /// mini-batch trainer: conditioning is inherited, not recomputed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds.
-    pub fn gather(&self, indices: &[usize]) -> Design {
-        let cols = self.x.cols();
-        let mut data = Vec::with_capacity(indices.len() * cols);
-        let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
-            assert!(i < self.len(), "index {i} out of bounds ({})", self.len());
-            data.extend_from_slice(self.x.row(i));
-            labels.push(self.labels[i]);
-        }
-        Design {
-            x: Matrix::from_vec(indices.len(), cols, data),
-            labels,
-            num_classes: self.num_classes,
         }
     }
 
@@ -220,13 +219,7 @@ impl LogisticModel {
     /// same data repeatedly should build a [`Design`] once and use
     /// [`LogisticModel::predict_proba_design`].
     pub fn predict_proba(&self, features: &Matrix) -> Matrix {
-        assert_eq!(
-            features.cols(),
-            self.num_features,
-            "feature count mismatch: model {}, input {}",
-            self.num_features,
-            features.cols()
-        );
+        self.check_features(features.cols());
         let x = scaled_with_bias(features);
         let mut logits = x.matmul(&self.weights);
         softmax_rows_in_place(&mut logits);
@@ -236,28 +229,27 @@ impl LogisticModel {
     /// Class-probability matrix over a prepared design (no conditioning
     /// pass: one GEMM plus the in-place softmax).
     pub fn predict_proba_design(&self, design: &Design) -> Matrix {
-        assert_eq!(
-            design.num_features(),
-            self.num_features,
-            "feature count mismatch: model {}, design {}",
-            self.num_features,
-            design.num_features()
-        );
+        self.check_features(design.num_features());
         let mut logits = design.x.matmul(&self.weights);
         softmax_rows_in_place(&mut logits);
         logits
     }
 
-    /// Hard label predictions.
+    /// Hard label predictions: the row-wise argmax of
+    /// [`LogisticModel::predict_proba`], taken from the logits by the
+    /// certified argmax (see the module's "Batched execution" section).
     pub fn predict(&self, features: &Matrix) -> Vec<usize> {
-        let proba = self.predict_proba(features);
-        argmax_rows(&proba)
+        self.check_features(features.cols());
+        let x = scaled_with_bias(features);
+        certified_argmax_rows(x.matmul(&self.weights))
     }
 
-    /// Hard label predictions over a prepared design.
+    /// Hard label predictions over a prepared design: the row-wise argmax
+    /// of [`LogisticModel::predict_proba_design`], bit for bit, from one
+    /// GEMM plus the certified argmax.
     pub fn predict_design(&self, design: &Design) -> Vec<usize> {
-        let proba = self.predict_proba_design(design);
-        argmax_rows(&proba)
+        self.check_features(design.num_features());
+        certified_argmax_rows(design.x.matmul(&self.weights))
     }
 
     /// Trains in place on `data` for `config.epochs` full-batch steps.
@@ -281,13 +273,7 @@ impl LogisticModel {
     pub fn train_design(&mut self, design: &Design, config: &TrainConfig) {
         assert!(!design.is_empty(), "cannot train on an empty dataset");
         assert_eq!(design.num_classes, self.num_classes, "class count mismatch");
-        assert_eq!(
-            design.num_features(),
-            self.num_features,
-            "feature count mismatch: model {}, design {}",
-            self.num_features,
-            design.num_features()
-        );
+        self.check_features(design.num_features());
         let x = &design.x;
         let n = design.len() as f64;
         let mut logits = Matrix::zeros(design.len(), self.num_classes);
@@ -313,6 +299,15 @@ impl LogisticModel {
         let mut model = Self::from_flat(global, design.num_features(), design.num_classes);
         model.train_design(design, config);
         model
+    }
+
+    /// Panics unless the input has the model's feature count.
+    fn check_features(&self, input_features: usize) {
+        assert_eq!(
+            input_features, self.num_features,
+            "feature count mismatch: model {}, input {input_features}",
+            self.num_features
+        );
     }
 
     /// Cross-entropy loss on `data` (mean negative log-likelihood).
@@ -350,30 +345,70 @@ fn scaled_with_bias(features: &Matrix) -> Matrix {
     features.map(|v| v / 16.0).with_bias_column()
 }
 
-/// Row-wise argmax over a probability matrix.
-fn argmax_rows(proba: &Matrix) -> Vec<usize> {
-    (0..proba.rows())
-        .map(|r| argmax(proba.row(r)).expect("non-empty probability row"))
+/// How far below the row's maximum logit every earlier logit must lie
+/// for [`logit_argmax`] to skip the softmax: `2⁻³⁰`.
+const ARGMAX_MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// Row-wise class predictions from a logits matrix, consumed in place.
+fn certified_argmax_rows(mut logits: Matrix) -> Vec<usize> {
+    (0..logits.rows())
+        .map(|r| certified_argmax(logits.row_mut(r)))
         .collect()
 }
 
+/// `argmax(softmax(row))`, bit for bit: the certified logit argmax when
+/// it applies, otherwise this row's softmax followed by `argmax` exactly
+/// as [`LogisticModel::predict_proba`] computes them.
+fn certified_argmax(row: &mut [f64]) -> usize {
+    logit_argmax(row).unwrap_or_else(|| {
+        softmax_row_in_place(row);
+        argmax(row).expect("non-empty probability row")
+    })
+}
+
+/// The class of a logit row, when the logits alone certify it: `Some(k)`
+/// for the first index `k` of the maximum when every logit is finite and
+/// every earlier logit lies more than [`ARGMAX_MARGIN`] below `z_k` (the
+/// module's "Batched execution" section shows why that is exactly the
+/// softmax path's answer). `None` — a near-tie with an earlier class, a
+/// non-finite logit, or an empty row — sends the row to the softmax.
+fn logit_argmax(row: &[f64]) -> Option<usize> {
+    let (&first, rest) = row.split_first()?;
+    let (mut k, mut max, mut finite) = (0, first, first.is_finite());
+    for (j, &z) in rest.iter().enumerate() {
+        finite &= z.is_finite();
+        // Select, not branch: where the maximum sits is data-dependent,
+        // and a mispredicted branch per row would cost as much as the
+        // rest of the scan.
+        let above = z > max;
+        k = if above { j + 1 } else { k };
+        max = if above { z } else { max };
+    }
+    let certified = finite && row[..k].iter().all(|&z| z - max < -ARGMAX_MARGIN);
+    certified.then_some(k)
+}
+
 /// Row-wise numerically-stable softmax, in place, no temporaries.
+fn softmax_rows_in_place(logits: &mut Matrix) {
+    for r in 0..logits.rows() {
+        softmax_row_in_place(logits.row_mut(r));
+    }
+}
+
+/// Numerically-stable softmax of one row, in place.
 ///
 /// Operation order per element matches the original out-of-place
 /// version — `(v − max).exp()`, then a division by the row sum — so the
 /// probabilities are bit-identical to the unfused pipeline.
-fn softmax_rows_in_place(logits: &mut Matrix) {
-    for r in 0..logits.rows() {
-        let row = logits.row_mut(r);
-        let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
+fn softmax_row_in_place(row: &mut [f64]) {
+    let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum;
     }
 }
 
@@ -401,13 +436,212 @@ mod tests {
     use super::*;
     use crate::dataset::SyntheticDigits;
     use crate::metrics::accuracy;
+    use crate::rng::Xoshiro256;
     use crate::split::train_test_split;
+    use proptest::prelude::*;
 
     fn quick_config() -> TrainConfig {
         TrainConfig {
             learning_rate: 0.5,
             epochs: 60,
             l2: 1e-4,
+        }
+    }
+
+    /// The retained probability path: the argmax of each softmax row.
+    fn proba_argmax(proba: &Matrix) -> Vec<usize> {
+        (0..proba.rows())
+            .map(|r| argmax(proba.row(r)).expect("non-empty probability row"))
+            .collect()
+    }
+
+    /// `argmax(softmax(row))` for one row, `None` where the softmax
+    /// row is all NaN.
+    fn softmax_argmax(row: &[f64]) -> Option<usize> {
+        let mut p = row.to_vec();
+        softmax_row_in_place(&mut p);
+        argmax(&p)
+    }
+
+    /// Asserts both hard-prediction routes equal the argmax of their
+    /// probability routes for `model` on `data`.
+    fn assert_predictions_match_proba(model: &LogisticModel, data: &Dataset) {
+        let design = Design::new(data);
+        assert_eq!(
+            model.predict(&data.features),
+            proba_argmax(&model.predict_proba(&data.features))
+        );
+        assert_eq!(
+            model.predict_design(&design),
+            proba_argmax(&model.predict_proba_design(&design))
+        );
+    }
+
+    /// A model with zero feature weights and bias row `bias`: every
+    /// example's logits are exactly `bias` (each product adds `+0.0`).
+    fn bias_model(num_features: usize, bias: &[f64]) -> LogisticModel {
+        let mut flat = vec![0.0; num_features * bias.len()];
+        flat.extend_from_slice(bias);
+        LogisticModel::from_flat(&flat, num_features, bias.len())
+    }
+
+    /// `steps` ulps below `x` (for finite positive or negative `x`).
+    fn ulps_below(x: f64, steps: u32) -> f64 {
+        (0..steps).fold(x, |v, _| {
+            if v > 0.0 {
+                f64::from_bits(v.to_bits() - 1)
+            } else {
+                f64::from_bits(v.to_bits() + 1)
+            }
+        })
+    }
+
+    /// Finite logit rows at the edges of the certificate: exact ties at
+    /// the maximum, earlier near-ties of 1–4 ulp and around the `2⁻³⁰`
+    /// margin, signed zeros, and logits at the fixed-point bound.
+    fn crafted_rows() -> Vec<Vec<f64>> {
+        let bound = (1u64 << 39) as f64;
+        let mut rows = vec![
+            vec![2.0, 2.0, 0.0],
+            vec![0.0, 2.0, 2.0],
+            vec![2.0, 0.0, 2.0],
+            vec![1.0, 5.0, 3.0, 5.0, 5.0],
+            vec![-3.0, -3.0, -3.0, -3.0],
+            vec![0.0, -0.0],
+            vec![-0.0, 0.0],
+            vec![-0.0, -1.0, 0.0],
+            vec![-1.0, -0.0, 0.0, -0.0],
+            vec![0.0; 10],
+            vec![bound, -bound, bound],
+            vec![-bound, bound, ulps_below(bound, 1)],
+            vec![ulps_below(bound, 1), bound],
+            vec![-bound, -bound, -bound],
+        ];
+        for &top in &[1.0, 0.37, 1e3, -7.5, 2f64.powi(-40), 6.0e11] {
+            for steps in 1..=4 {
+                rows.push(vec![ulps_below(top, steps), top, -1.0]);
+                rows.push(vec![-1.0, top, ulps_below(top, steps)]);
+            }
+            let at_margin = top - ARGMAX_MARGIN;
+            for near in [
+                ulps_below(at_margin, 1),
+                at_margin,
+                -ulps_below(-at_margin, 1),
+            ] {
+                rows.push(vec![near, top]);
+                rows.push(vec![near, -5.0, top, near]);
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn certified_argmax_matches_softmax_on_crafted_rows() {
+        for row in crafted_rows() {
+            let expected = softmax_argmax(&row).expect("finite row");
+            assert_eq!(certified_argmax(&mut row.clone()), expected, "{row:?}");
+        }
+    }
+
+    #[test]
+    fn certificate_covers_clear_rows_and_defers_near_ties() {
+        // Clear maxima are read off the logits.
+        assert_eq!(logit_argmax(&[0.0, 3.0, 1.0]), Some(1));
+        assert_eq!(logit_argmax(&[3.0, 3.0, 1.0]), Some(0));
+        assert_eq!(logit_argmax(&[0.0, 0.0]), Some(0));
+        let top = 1.0;
+        let at_margin = top - ARGMAX_MARGIN;
+        assert_eq!(logit_argmax(&[ulps_below(at_margin, 1), top]), Some(1));
+        // An earlier logit on or within the margin takes the softmax.
+        assert_eq!(logit_argmax(&[at_margin, top]), None);
+        assert_eq!(logit_argmax(&[ulps_below(top, 1), top]), None);
+        assert_eq!(logit_argmax(&[-0.0, 0.0]), Some(0));
+        // Non-finite logits always take the softmax.
+        assert_eq!(logit_argmax(&[f64::NEG_INFINITY, 1.0]), None);
+        assert_eq!(logit_argmax(&[1.0, f64::INFINITY]), None);
+        assert_eq!(logit_argmax(&[f64::NAN, 1.0, 2.0]), None);
+        assert_eq!(logit_argmax(&[]), None);
+    }
+
+    #[test]
+    fn non_finite_rows_behave_as_the_softmax_path() {
+        // −∞ logits have a well-defined softmax: the fallback follows it.
+        for row in [
+            vec![f64::NEG_INFINITY, 1.0, 2.0],
+            vec![1.0, f64::NEG_INFINITY],
+            vec![f64::NEG_INFINITY, f64::NEG_INFINITY, 0.0],
+        ] {
+            let expected = softmax_argmax(&row).expect("defined softmax");
+            assert_eq!(certified_argmax(&mut row.clone()), expected, "{row:?}");
+        }
+        // NaN or +∞ logits turn the softmax row into NaNs, which the
+        // probability path rejects; the prediction path rejects them too.
+        for row in [
+            vec![f64::NAN, 1.0, 2.0],
+            vec![0.0, f64::INFINITY],
+            vec![f64::INFINITY, f64::INFINITY],
+        ] {
+            assert_eq!(softmax_argmax(&row), None, "{row:?}");
+            let outcome = std::panic::catch_unwind(|| certified_argmax(&mut row.clone()));
+            assert!(outcome.is_err(), "{row:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn crafted_logits_predict_like_the_probability_path() {
+        let ds = SyntheticDigits::small().generate(13);
+        let data = ds.subset(&[0, 1, 2]);
+        for row in crafted_rows() {
+            let model = bias_model(ds.num_features(), &row);
+            assert_predictions_match_proba(&model, &data);
+        }
+        let model = bias_model(ds.num_features(), &[f64::NEG_INFINITY, 0.5, 0.25]);
+        assert_predictions_match_proba(&model, &data);
+    }
+
+    #[test]
+    fn zero_model_predicts_class_zero() {
+        let ds = SyntheticDigits::small().generate(14);
+        let model = LogisticModel::zeros(ds.num_features(), ds.num_classes);
+        assert_eq!(model.predict(&ds.features), vec![0; ds.len()]);
+        assert_eq!(model.predict_design(&Design::new(&ds)), vec![0; ds.len()]);
+        assert_predictions_match_proba(&model, &ds);
+    }
+
+    // Random models — smooth weights, coarse-grid weights that make
+    // exact and near ties common, and weights at the fixed-point bound —
+    // predict exactly the probability path's classes.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_predictions_match_probability_argmax(
+            seed in any::<u64>(),
+            features in 1usize..=8,
+            classes in 2usize..=10,
+            style in 0u8..3,
+        ) {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let bound = (1u64 << 39) as f64;
+            let flat: Vec<f64> = (0..(features + 1) * classes)
+                .map(|_| match style {
+                    0 => rng.next_gaussian() * 4.0,
+                    1 => rng.next_below(5) as f64 * 0.5 - 1.0,
+                    _ => match rng.next_below(4) {
+                        0 => bound,
+                        1 => -bound,
+                        _ => rng.next_gaussian(),
+                    },
+                })
+                .collect();
+            let model = LogisticModel::from_flat(&flat, features, classes);
+            let rows = 1 + rng.next_below(24) as usize;
+            let x: Vec<f64> = (0..rows * features)
+                .map(|_| rng.next_below(17) as f64)
+                .collect();
+            let labels = (0..rows).map(|r| r % classes).collect();
+            let data = Dataset::new(Matrix::from_vec(rows, features, x), labels, classes);
+            assert_predictions_match_proba(&model, &data);
         }
     }
 
@@ -581,24 +815,6 @@ mod tests {
             },
         );
         assert_eq!(warm, long_hand);
-    }
-
-    #[test]
-    fn design_gather_matches_subset_conditioning() {
-        let ds = SyntheticDigits::small().generate(11);
-        let design = Design::new(&ds);
-        let indices = [5usize, 0, 17, 42];
-        let gathered = design.gather(&indices);
-        assert_eq!(gathered, Design::new(&ds.subset(&indices)));
-        assert_eq!(gathered.len(), 4);
-        assert_eq!(gathered.labels()[1], ds.labels[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn design_gather_out_of_bounds_panics() {
-        let ds = SyntheticDigits::small().generate(11);
-        let _ = Design::new(&ds).gather(&[100_000]);
     }
 
     #[test]

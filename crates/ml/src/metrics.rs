@@ -37,6 +37,15 @@ pub fn model_accuracy(model: &LogisticModel, data: &Dataset) -> f64 {
 /// the conditioning pass. The accuracy utilities build the test design
 /// once and evaluate every one of their `2^m` coalition models through
 /// this.
+///
+/// The cost is one logits GEMM plus the certified argmax of
+/// [`LogisticModel::predict_design`]: a row's class is the first index
+/// `k` of its maximum logit whenever all logits are finite and every
+/// earlier logit is more than `2⁻³⁰` below `z_k`; only the remaining
+/// rows pay for a softmax. Both routes give exactly the class the
+/// argmax of [`LogisticModel::predict_proba_design`] gives, so the
+/// accuracy — and every Shapley value and state digest built from it —
+/// is unchanged to the bit.
 pub fn model_accuracy_design(model: &LogisticModel, design: &Design) -> f64 {
     accuracy(&model.predict_design(design), design.labels())
 }

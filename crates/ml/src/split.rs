@@ -16,6 +16,12 @@ pub struct TrainTestSplit {
     pub test: Dataset,
 }
 
+/// Number of the `n` examples [`train_test_split`] puts on the training
+/// side: `round(n · train_fraction)`.
+pub fn train_len(n: usize, train_fraction: f64) -> usize {
+    ((n as f64) * train_fraction).round() as usize
+}
+
 /// Randomly splits `dataset` with `train_fraction` going to training.
 ///
 /// # Panics
@@ -28,7 +34,7 @@ pub fn train_test_split(dataset: &Dataset, train_fraction: f64, seed: u64) -> Tr
         "train_fraction must be in (0, 1), got {train_fraction}"
     );
     let n = dataset.len();
-    let n_train = ((n as f64) * train_fraction).round() as usize;
+    let n_train = train_len(n, train_fraction);
     assert!(
         n_train > 0 && n_train < n,
         "split produced an empty side (n={n}, train={n_train})"
