@@ -6,10 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fedchain::config::FlConfig;
-use fedchain::contract_fl::AccuracyUtility;
+use fedchain::contract_fl::{AccuracyGame, AccuracyUtility};
 use fedchain::ground_truth::RetrainUtility;
 use fedchain::world::World;
 use fl_ml::dataset::SyntheticDigits;
@@ -25,7 +24,7 @@ use shapley::group::{
 };
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
-use shapley::utility::{model_utility_fn, CachedUtility, ModelUtility};
+use shapley::utility::{model_utility_fn, CachedUtility, CoalitionUtility, ModelUtility};
 
 fn bench_config() -> FlConfig {
     let mut config = FlConfig::paper_setting();
@@ -256,46 +255,16 @@ impl ModelUtility for SoftmaxAccuracy {
     }
 }
 
-/// Gate utility: evaluates every coalition through both paths, asserts
-/// the accuracies are bit-equal and counts the comparisons.
-struct BitEqualityGate<'a> {
-    library: &'a AccuracyUtility,
-    softmax: &'a SoftmaxAccuracy,
-    checked: AtomicUsize,
-}
-
-impl BitEqualityGate<'_> {
-    fn check(&self, library: f64, softmax: f64) -> f64 {
-        assert_eq!(
-            library.to_bits(),
-            softmax.to_bits(),
-            "certified argmax diverged from the softmax path"
-        );
-        self.checked.fetch_add(1, Ordering::Relaxed);
-        library
-    }
-}
-
-impl ModelUtility for BitEqualityGate<'_> {
-    fn of_model(&self, weights: &[f64]) -> f64 {
-        self.check(
-            self.library.of_model(weights),
-            self.softmax.of_model(weights),
-        )
-    }
-
-    fn of_empty(&self) -> f64 {
-        self.check(self.library.of_empty(), self.softmax.of_empty())
-    }
-}
-
 /// GroupSV's exact enumeration at m = 8 with the real accuracy utility
 /// on the paper world (1124 test rows × 65 conditioned inputs, 10
 /// classes): the per-coalition inference cost every miner and auditor
 /// re-executes. The 8 group models average the 9 owners' first-round
-/// updates over the protocol's seeded grouping. Before sampling, all 256
-/// coalition accuracies are asserted bit-equal between the library's
-/// certified-argmax utility and the softmax-then-argmax path.
+/// updates over the protocol's seeded grouping. Three paths: the
+/// softmax-then-argmax utility, the library's certified-argmax utility
+/// (both under the generic [`GroupModelGame`]), and the contract's
+/// [`AccuracyGame`], which reads coalition classes off superposed
+/// per-group logits. Before sampling, all 256 coalition accuracies are
+/// asserted bit-equal across the three.
 fn bench_accuracy_utility(c: &mut Criterion) {
     let m = 8usize;
     let mut config = FlConfig::paper_setting();
@@ -318,14 +287,28 @@ fn bench_accuracy_utility(c: &mut Criterion) {
         num_classes: config.data.classes,
     };
 
-    let gate = BitEqualityGate {
-        library: &library,
-        softmax: &softmax,
-        checked: AtomicUsize::new(0),
-    };
-    let (_, evaluations) = shapley_over_group_models(&group_models, &gate);
-    assert_eq!(evaluations, 1 << m);
-    assert_eq!(gate.checked.load(Ordering::Relaxed), 1 << m);
+    let softmax_game = GroupModelGame::new(&group_models, &softmax);
+    let certified_game = GroupModelGame::new(&group_models, &library);
+    let superposed_game = AccuracyGame::new(&group_models, &library);
+    for coalition in Coalition::powerset(m) {
+        let expected = softmax_game.evaluate(coalition).to_bits();
+        assert_eq!(
+            certified_game.evaluate(coalition).to_bits(),
+            expected,
+            "certified argmax diverged from the softmax path on {coalition:?}"
+        );
+        assert_eq!(
+            superposed_game.evaluate(coalition).to_bits(),
+            expected,
+            "superposed logits diverged from the softmax path on {coalition:?}"
+        );
+    }
+    let (certified, fallbacks) = superposed_game.counts();
+    eprintln!(
+        "accuracy_utility gate: all {} coalitions bit-equal; superposed: {certified} certified, \
+         {fallbacks} fallback",
+        1 << m
+    );
 
     let mut group = c.benchmark_group("accuracy_utility");
     group.sample_size(10);
@@ -338,6 +321,11 @@ fn bench_accuracy_utility(c: &mut Criterion) {
         BenchmarkId::new("certified", m),
         &group_models,
         |b, models| b.iter(|| shapley_over_group_models(black_box(models), &library)),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("superposed", m),
+        &group_models,
+        |b, models| b.iter(|| exact_shapley(&AccuracyGame::new(black_box(models), &library))),
     );
     group.finish();
 }

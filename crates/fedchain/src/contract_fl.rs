@@ -32,6 +32,8 @@
 //! miner's re-execution diverging at the first state root.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use fl_chain::codec::{Decode, DecodeError, Encode, Reader};
 use fl_chain::contract::{ExecutionOutcome, SmartContract, TxContext};
@@ -42,15 +44,16 @@ use fl_crypto::dh::DhGroup;
 use fl_crypto::dropout::{reconstruct_private_key, strip_dropped_set_masks};
 use fl_crypto::shamir::{Shamir, Share};
 use fl_ml::dataset::Dataset;
-use fl_ml::metrics::model_accuracy_design;
-use fl_ml::LogisticModel;
+use fl_ml::metrics::{accuracy, model_accuracy_design};
+use fl_ml::{LogisticModel, LogitSuperposition};
 use numeric::{FixedCodec, U256};
+use shapley::coalition::{Coalition, MAX_SAMPLED_PLAYERS};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimate, SvEstimator};
 use shapley::group::{grouping, permutation, GroupModelGame};
 use shapley::hierarchy::{cohort_stream, compose, CohortPlan};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
-use shapley::utility::{CachedUtility, ModelUtility, RestrictedGame};
+use shapley::utility::{CachedUtility, CoalitionUtility, ModelUtility, RestrictedGame};
 
 use crate::config::SvMethod;
 
@@ -710,9 +713,8 @@ pub fn sharded_round_groups(
 /// off-chain analysis (Fig. 1/2 ground truth uses the same function).
 ///
 /// The test set is conditioned into a prepared design **once** at
-/// construction; every `of_model` call — GroupSV issues `2^m` of them
-/// per round, and every miner and auditor re-executes them all — then
-/// runs one GEMM over the cached design followed by the certified argmax
+/// construction; every `of_model` call then runs one GEMM over the
+/// cached design followed by the certified argmax
 /// of [`LogisticModel::predict_design`]: a test row's class is read off
 /// its logits (the first index `k` of the maximum) whenever every logit
 /// is finite and every earlier logit is more than `2⁻³⁰` below `z_k`,
@@ -720,6 +722,28 @@ pub fn sharded_round_groups(
 /// The margin makes the class provably the one the softmax-then-argmax
 /// path returns, so the accuracy values are bit-identical to it and state
 /// digests and round records are unaffected.
+///
+/// GroupSV scores `2^m` coalitions a round, and every miner and auditor
+/// re-executes them all, but the contract does not call `of_model` once
+/// per coalition: it plays [`AccuracyGame`], which reads each
+/// coalition's classes off the sum of its members' logits and calls
+/// this utility (through [`GroupModelGame`]) only for coalitions that
+/// sum cannot certify.
+/// That certificate rests on an error bound. With `K` the design width
+/// (features + bias), `M` the largest weight magnitude over the group
+/// models, `s = |S|` and `E_r = γ_{K+m+1}·‖x_r‖₁·M`:
+///
+/// * the logits `of_model` computes for `W_S` — a rounded mean, then a
+///   `K`-term GEMM — are each within `E_r` of the real `x_r·W_S`;
+/// * the sum `T_r` of the members' logit rows is within `s·E_r` of
+///   `s·x_r·W_S`;
+/// * so when the top-two gap of `T_r` exceeds `s·(2⁻³⁰ + 4E_r)`, the
+///   exact logits have the same unique maximum, every other logit more
+///   than `2⁻³⁰` below it, and the certified argmax returns that class.
+///
+/// The check is made against twice that bound to absorb its own
+/// rounding; the full proof is in `fl_ml::logreg`'s "Superposed logits"
+/// section.
 pub struct AccuracyUtility {
     test_design: fl_ml::Design,
     num_features: usize,
@@ -748,6 +772,96 @@ impl ModelUtility for AccuracyUtility {
         // what an untrained participant would deploy.
         let zero = LogisticModel::zeros(self.num_features, self.num_classes);
         model_accuracy_design(&zero, &self.test_design)
+    }
+}
+
+/// The group-model accuracy game the contract plays:
+/// `u(S) = accuracy(mean_{g∈S} W_g)`, bit for bit the value of
+/// [`GroupModelGame`] over [`AccuracyUtility`], at a fraction of its
+/// cost.
+///
+/// Logits are linear in the weights, so construction computes the `m`
+/// per-group logit matrices `L_g = X·W_g` once (`m` GEMMs), and a
+/// coalition's classes are read off the row sums `Σ_{g∈S} L_g` — `|S|`
+/// adds per test row and no GEMM — whenever every row carries the
+/// certificate described on [`AccuracyUtility`]. A coalition with an
+/// uncertified row (a near or exact tie, an all-zero mean model, a
+/// non-finite weight anywhere) is evaluated by a [`GroupModelGame`] over
+/// the same models and utility, built on first use, so every value is
+/// exactly the generic game's.
+///
+/// Members are summed directly for every coalition; subset sums of
+/// logits are not tabulated (for `m = 8` and a 1124-row, 10-class test
+/// set the half-tables alone would hold about 3 MB).
+///
+/// Certified and fallback evaluations are counted for observability
+/// ([`AccuracyGame::counts`]); the counts never reach a round record or
+/// a digest.
+pub struct AccuracyGame<'a> {
+    group_models: &'a [Vec<f64>],
+    utility: &'a AccuracyUtility,
+    superposition: LogitSuperposition,
+    exact: OnceLock<GroupModelGame<'a, AccuracyUtility>>,
+    certified: AtomicUsize,
+    fallbacks: AtomicUsize,
+}
+
+impl<'a> AccuracyGame<'a> {
+    /// Builds the game over `group_models` (one flat model per group).
+    ///
+    /// # Panics
+    ///
+    /// Panics on no groups, more than [`MAX_SAMPLED_PLAYERS`] groups, or
+    /// a group model whose length does not match the utility's model.
+    pub fn new(group_models: &'a [Vec<f64>], utility: &'a AccuracyUtility) -> Self {
+        assert!(
+            group_models.len() <= MAX_SAMPLED_PLAYERS,
+            "coalition masks hold {MAX_SAMPLED_PLAYERS} groups, got {}",
+            group_models.len()
+        );
+        Self {
+            group_models,
+            utility,
+            superposition: utility.test_design.superposition(group_models),
+            exact: OnceLock::new(),
+            certified: AtomicUsize::new(0),
+            fallbacks: AtomicUsize::new(0),
+        }
+    }
+
+    /// `(certified, fallback)`: coalition evaluations answered from the
+    /// superposed logits, and those that ran the exact path (the empty
+    /// coalition counts as neither). Observability only.
+    pub fn counts(&self) -> (usize, usize) {
+        (
+            self.certified.load(Ordering::Relaxed),
+            self.fallbacks.load(Ordering::Relaxed),
+        )
+    }
+}
+
+impl CoalitionUtility for AccuracyGame<'_> {
+    fn num_players(&self) -> usize {
+        self.group_models.len()
+    }
+
+    fn evaluate(&self, coalition: Coalition) -> f64 {
+        if coalition.is_empty() {
+            return self.utility.of_empty();
+        }
+        let members: Vec<usize> = coalition.members().collect();
+        match self.superposition.predict_mean(&members) {
+            Some(predictions) => {
+                self.certified.fetch_add(1, Ordering::Relaxed);
+                accuracy(&predictions, self.utility.test_design.labels())
+            }
+            None => {
+                self.fallbacks.fetch_add(1, Ordering::Relaxed);
+                self.exact
+                    .get_or_init(|| GroupModelGame::new(self.group_models, self.utility))
+                    .evaluate(coalition)
+            }
+        }
     }
 }
 
@@ -1381,12 +1495,11 @@ impl FlContract {
             self.params.num_features,
             self.params.num_classes,
         );
-        let full_game = GroupModelGame::new(&group_models, &utility);
-        let game = RestrictedGame::new(&full_game, surviving_groups.clone());
         let estimate = Self::dispatch_estimator(
             self.params.sv_method,
             sampling_seed(self.params.permutation_seed, round),
-            &game,
+            &AccuracyGame::new(&group_models, &utility),
+            surviving_groups.clone(),
         );
         let SvEstimate {
             values,
@@ -1537,12 +1650,11 @@ impl FlContract {
                         samples: 0,
                     };
                 }
-                let full_game = GroupModelGame::new(&group_models, &utility);
-                let game = RestrictedGame::new(&full_game, surviving_groups.clone());
                 let estimate = Self::dispatch_estimator(
                     method,
                     sampling_seed(cohort_stream(seed, c as u64), round),
-                    &game,
+                    &AccuracyGame::new(&group_models, &utility),
+                    surviving_groups.clone(),
                 );
                 let mut per_group_sv = vec![0.0f64; m];
                 for (gi, &j) in surviving_groups.iter().enumerate() {
@@ -1579,9 +1691,12 @@ impl FlContract {
         // Second level: the coalition game over cohort aggregate
         // models, restricted to cohorts with at least one survivor,
         // under the round's own (un-streamed) sampling seed.
-        let full_game2 = GroupModelGame::new(&cohort_models, &utility);
-        let game2 = RestrictedGame::new(&full_game2, alive_cohorts.clone());
-        let estimate2 = Self::dispatch_estimator(method, sampling_seed(seed, round), &game2);
+        let estimate2 = Self::dispatch_estimator(
+            method,
+            sampling_seed(seed, round),
+            &AccuracyGame::new(&cohort_models, &utility),
+            alive_cohorts.clone(),
+        );
         let mut per_cohort_sv = vec![0.0f64; k];
         for (ci, &c) in alive_cohorts.iter().enumerate() {
             per_cohort_sv[c] = estimate2.values[ci];
@@ -1716,17 +1831,23 @@ impl FlContract {
     /// accuracy pass, with bit-identical values. The exact path visits
     /// each coalition exactly once and skips the cache.
     ///
-    /// The cache's hit/miss counters are copied into the estimate's
-    /// diagnostics afterwards so the streaming-evaluation behaviour is
-    /// auditable; they stay out of [`RoundRecord`] and every consensus
-    /// digest because the counters are scheduling observability, not
-    /// protocol state.
+    /// The estimator plays `full_game` restricted to `players` (the
+    /// surviving groups or cohorts, ascending).
+    ///
+    /// The cache's hit/miss counters and the game's certified/fallback
+    /// counts ([`AccuracyGame::counts`]) are copied into the estimate's
+    /// diagnostics afterwards so the evaluation behaviour is auditable;
+    /// they stay out of [`RoundRecord`] and every consensus digest
+    /// because the counters are scheduling observability, not protocol
+    /// state.
     fn dispatch_estimator(
         method: SvMethod,
         seed: u64,
-        game: &(impl shapley::utility::CoalitionUtility + Sync),
+        full_game: &AccuracyGame<'_>,
+        players: Vec<usize>,
     ) -> SvEstimate {
-        match method {
+        let game = &RestrictedGame::new(full_game, players);
+        let mut estimate = match method {
             SvMethod::GroupExact => Exact.estimate(game),
             SvMethod::MonteCarlo { permutations } => {
                 let cached = CachedUtility::new(game);
@@ -1759,7 +1880,12 @@ impl FlContract {
                 estimate.diagnostics.cache_misses = stats.misses;
                 estimate
             }
-        }
+        };
+        (
+            estimate.diagnostics.certified_evals,
+            estimate.diagnostics.fallback_evals,
+        ) = full_game.counts();
+        estimate
     }
 }
 
@@ -3096,5 +3222,263 @@ mod tests {
         let mut padded = blob;
         padded.push(0);
         assert!(FlContract::restore(test_params(3, 2), test_set, &padded).is_err());
+    }
+
+    /// The superposed accuracy game against its oracle: the generic
+    /// group-model game over the same [`AccuracyUtility`].
+    mod accuracy_game {
+        use super::*;
+        use fl_ml::logreg::train_model;
+        use fl_ml::{TrainConfig, Xoshiro256};
+        use proptest::prelude::*;
+        use shapley::estimator::SvDiagnostics;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        const FEATURES: usize = 64;
+        const CLASSES: usize = 10;
+        const DIM: usize = (FEATURES + 1) * CLASSES;
+
+        /// The utility over 120 test rows of the small digits world.
+        fn utility() -> AccuracyUtility {
+            let test = SyntheticDigits::small()
+                .generate(31)
+                .subset(&(0..120).collect::<Vec<_>>());
+            AccuracyUtility::new(&test, FEATURES, CLASSES)
+        }
+
+        /// `m` models trained for a few epochs on disjoint shards.
+        fn trained_models(m: usize) -> Vec<Vec<f64>> {
+            let train = SyntheticDigits::small().generate(32);
+            let config = TrainConfig {
+                learning_rate: 0.5,
+                epochs: 4,
+                l2: 1e-4,
+            };
+            let shard = train.len() / m;
+            (0..m)
+                .map(|g| {
+                    let rows: Vec<usize> = (g * shard..(g + 1) * shard).collect();
+                    train_model(&train.subset(&rows), &config).to_flat()
+                })
+                .collect()
+        }
+
+        /// `w` with the weight columns of classes `a` and `b` swapped:
+        /// the mean of `w` and its mirror scores `a` and `b` identically
+        /// on every row.
+        fn mirrored(w: &[f64], a: usize, b: usize) -> Vec<f64> {
+            let mut out = w.to_vec();
+            for row in out.chunks_exact_mut(CLASSES) {
+                row.swap(a, b);
+            }
+            out
+        }
+
+        /// A bias-only model scoring classes `a` and `b` at 8 and every
+        /// other class at 0: an exact tie at the top of every row.
+        fn tied(a: usize, b: usize) -> Vec<f64> {
+            let mut w = vec![0.0; DIM];
+            w[FEATURES * CLASSES + a] = 8.0;
+            w[FEATURES * CLASSES + b] = 8.0;
+            w
+        }
+
+        /// Asserts both games give the same bits on every coalition and
+        /// returns the superposed game's `(certified, fallback)` counts.
+        fn assert_bit_equal(models: &[Vec<f64>], utility: &AccuracyUtility) -> (usize, usize) {
+            let game = AccuracyGame::new(models, utility);
+            let oracle = GroupModelGame::new(models, utility);
+            for c in Coalition::powerset(models.len()) {
+                assert_eq!(
+                    game.evaluate(c).to_bits(),
+                    oracle.evaluate(c).to_bits(),
+                    "{c:?}"
+                );
+            }
+            game.counts()
+        }
+
+        /// Runs exact SV through the contract's dispatch, restricted to
+        /// `players`, asserts the values equal the oracle game's bit for
+        /// bit and returns the diagnostics.
+        fn dispatch_matches_oracle(
+            models: &[Vec<f64>],
+            utility: &AccuracyUtility,
+            players: Vec<usize>,
+        ) -> SvDiagnostics {
+            let estimate = FlContract::dispatch_estimator(
+                SvMethod::GroupExact,
+                11,
+                &AccuracyGame::new(models, utility),
+                players.clone(),
+            );
+            let oracle_game = GroupModelGame::new(models, utility);
+            let oracle = Exact.estimate(&RestrictedGame::new(&oracle_game, players));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&estimate.values), bits(&oracle.values));
+            estimate.diagnostics
+        }
+
+        #[test]
+        fn trained_group_models_certify_and_match() {
+            let utility = utility();
+            let models = trained_models(5);
+            let (certified, fallbacks) = assert_bit_equal(&models, &utility);
+            assert_eq!(certified + fallbacks, 31);
+            assert!(certified > 0);
+            let diagnostics = dispatch_matches_oracle(&models, &utility, (0..5).collect());
+            assert_eq!(
+                (diagnostics.certified_evals, diagnostics.fallback_evals),
+                (certified, fallbacks)
+            );
+        }
+
+        #[test]
+        fn duplicated_and_mirrored_models_fall_back_on_exact_ties() {
+            let utility = utility();
+            let w = trained_models(3);
+            // Duplicates superpose to doubled gaps and still certify.
+            let (certified, _) = assert_bit_equal(&[w[0].clone(), w[0].clone()], &utility);
+            assert!(certified > 0);
+            // A model, its mirror and a model tied at the top between the
+            // mirrored classes: every coalition holding the tied model,
+            // and the mean of all three, score the two classes
+            // identically on every row (the sums commute exactly).
+            let models = vec![w[0].clone(), mirrored(&w[0], 1, 7), tied(1, 7)];
+            let (_, fallbacks) = assert_bit_equal(&models, &utility);
+            assert!(fallbacks > 0);
+            assert!(dispatch_matches_oracle(&models, &utility, vec![0, 1, 2]).fallback_evals > 0);
+        }
+
+        #[test]
+        fn all_zero_models_fall_back_everywhere() {
+            let utility = utility();
+            let models = vec![vec![0.0; DIM]; 3];
+            assert_eq!(assert_bit_equal(&models, &utility), (0, 7));
+            let diagnostics = dispatch_matches_oracle(&models, &utility, vec![0, 1, 2]);
+            assert_eq!(diagnostics.fallback_evals, 7);
+        }
+
+        #[test]
+        fn non_finite_weights_fall_back_or_fail_like_the_oracle() {
+            let utility = utility();
+            let w = trained_models(2);
+            // A −∞ bias logit has a well-defined softmax: every coalition
+            // evaluates, all through the exact path.
+            let mut sunk = w[1].clone();
+            sunk[FEATURES * CLASSES + 3] = f64::NEG_INFINITY;
+            let models = vec![w[0].clone(), sunk];
+            assert_eq!(assert_bit_equal(&models, &utility), (0, 3));
+            assert_eq!(
+                dispatch_matches_oracle(&models, &utility, vec![0, 1]).fallback_evals,
+                3
+            );
+            // A NaN or +∞ feature weight (times a zero feature, or as a
+            // logit, it turns the softmax into NaNs): coalitions without
+            // it fall back and match; coalitions with it are rejected by
+            // both games.
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut poisoned = w[1].clone();
+                poisoned[5] = bad;
+                let models = vec![w[0].clone(), poisoned];
+                let game = AccuracyGame::new(&models, &utility);
+                let oracle = GroupModelGame::new(&models, &utility);
+                let alone = Coalition::from_members(&[0]);
+                assert_eq!(
+                    game.evaluate(alone).to_bits(),
+                    oracle.evaluate(alone).to_bits()
+                );
+                for c in [
+                    Coalition::from_members(&[1]),
+                    Coalition::from_members(&[0, 1]),
+                ] {
+                    assert!(catch_unwind(AssertUnwindSafe(|| game.evaluate(c))).is_err());
+                    assert!(catch_unwind(AssertUnwindSafe(|| oracle.evaluate(c))).is_err());
+                }
+                assert_eq!(game.counts(), (0, 3), "{bad}");
+            }
+        }
+
+        #[test]
+        fn restricted_game_with_dropped_groups_matches() {
+            let utility = utility();
+            let w = trained_models(4);
+            // Groups 1 and 4 dropped; group 3 ties classes 2 and 5.
+            let models = vec![
+                w[0].clone(),
+                vec![0.0; DIM],
+                w[2].clone(),
+                tied(2, 5),
+                w[3].clone(),
+            ];
+            let diagnostics = dispatch_matches_oracle(&models, &utility, vec![0, 2, 3]);
+            assert_eq!(diagnostics.certified_evals + diagnostics.fallback_evals, 7);
+            assert!(diagnostics.certified_evals > 0);
+            assert!(diagnostics.fallback_evals > 0);
+        }
+
+        #[test]
+        fn wide_sampled_game_matches() {
+            // 40 groups: beyond the exact cap, where the fallback game
+            // sums members directly instead of from subset tables.
+            let utility = utility();
+            let mut rng = Xoshiro256::seed_from_u64(40);
+            let models: Vec<Vec<f64>> = (0..40)
+                .map(|_| (0..DIM).map(|_| rng.next_gaussian() * 0.5).collect())
+                .collect();
+            let players: Vec<usize> = (0..40).filter(|g| g % 7 != 3).collect();
+            let method = SvMethod::MonteCarlo { permutations: 2 };
+            let estimate = FlContract::dispatch_estimator(
+                method,
+                5,
+                &AccuracyGame::new(&models, &utility),
+                players.clone(),
+            );
+            let oracle_game = GroupModelGame::new(&models, &utility);
+            let restricted = RestrictedGame::new(&oracle_game, players);
+            let oracle = MonteCarlo {
+                config: McConfig {
+                    permutations: 2,
+                    seed: 5,
+                    truncation_tolerance: None,
+                },
+            }
+            .estimate(&CachedUtility::new(&restricted));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&estimate.values), bits(&oracle.values));
+            // Every distinct coalition but the empty one is counted once.
+            let d = estimate.diagnostics;
+            assert_eq!(d.certified_evals + d.fallback_evals, d.cache_misses - 1);
+        }
+
+        // Random group models — smooth, coarse-grid (frequent exact and
+        // near ties) and large-magnitude weights — give bit-identical
+        // coalition values through both games.
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            #[test]
+            fn prop_accuracy_game_matches_group_model_game(
+                seed in any::<u64>(),
+                m in 1usize..=6,
+                style in 0u8..3,
+            ) {
+                let utility = utility();
+                let mut rng = Xoshiro256::seed_from_u64(seed);
+                let models: Vec<Vec<f64>> = (0..m)
+                    .map(|_| {
+                        (0..DIM)
+                            .map(|_| match style {
+                                0 => rng.next_gaussian() * 0.5,
+                                1 => rng.next_below(3) as f64 * 0.25 - 0.25,
+                                _ => rng.next_gaussian() * 1e6,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let (certified, fallbacks) = assert_bit_equal(&models, &utility);
+                prop_assert_eq!(certified + fallbacks, (1usize << m) - 1);
+            }
+        }
     }
 }

@@ -12,7 +12,9 @@
 //!   `d_i = d_i + N(0, σ·i)` for owner `i`.
 //! * [`split`] — train/test split and per-owner sharding.
 //! * [`logreg`] — multinomial (softmax) logistic regression trained with
-//!   full-batch gradient descent, the paper's local trainer.
+//!   full-batch gradient descent, the paper's local trainer, plus the
+//!   certified superposed logits an accuracy game reads the classes of
+//!   averaged models from.
 //! * [`metrics`] — accuracy and friends; test-set accuracy is the paper's
 //!   utility function `u(·)`.
 
@@ -27,5 +29,5 @@ pub mod rng;
 pub mod split;
 
 pub use dataset::{Dataset, DatasetView, SyntheticDigits};
-pub use logreg::{Design, LogisticModel, TrainConfig};
+pub use logreg::{Design, LogisticModel, LogitSuperposition, TrainConfig};
 pub use rng::Xoshiro256;

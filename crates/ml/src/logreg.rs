@@ -40,6 +40,54 @@
 //! on every input, while `exp` runs only on rows that could tie. The
 //! softmax stays where probabilities are consumed: `predict_proba*`, the
 //! training residual and [`LogisticModel::log_loss`].
+//!
+//! ## Superposed logits
+//!
+//! An accuracy game scores many averages `W_S = (1/s) Σ_{g∈S} W_g`
+//! (`s = |S|`) of the same `m` models over the same design. Logits are
+//! linear in the weights, so `x_r·W_S = (1/s) Σ_{g∈S} x_r·W_g`:
+//! [`Design::superposition`] computes every `L_g = X·W_g` once (`m`
+//! GEMMs), and [`LogitSuperposition::predict_mean`] reads a coalition's
+//! classes off the row sums `T_r = Σ_{g∈S} L_g[r]` — `s − 1` vector adds
+//! per row and no GEMM. `T_r/s` is not what the exact path computes
+//! (that path rounds `W_S` first, then runs its own GEMM, then the
+//! certified argmax above), so a row's class comes from `T_r` only under
+//! a certificate that the two paths agree. Write `u = 2⁻⁵³`,
+//! `γ_n = nu/(1 − nu)`, `K` for the design width (features + bias), `M`
+//! for the largest `|w|` over all `m` models, `a_r = ‖x_r‖₁·M`, and
+//! `z_r = x_r·W_S` for the real logits.
+//!
+//! * **Exact path.** Each entry of the rounded mean `Ŵ_S` costs at most
+//!   `s − 1` additions and one multiplication by the rounded `1/s`, so it
+//!   lies within `γ_{s+1}·M` of the real mean and below `(1 + γ_{s+1})·M`
+//!   in magnitude, in whatever order the members are added. The GEMM
+//!   sums `K` products in order, adding at most `γ_K·Σ_i |x_ri|·|Ŵ_S[i]|`.
+//!   Together `|ẑ_rc − z_rc| ≤ (γ_{s+1} + γ_K + γ_{s+1}γ_K)·a_r ≤
+//!   γ_{K+m+1}·a_r =: E_r`.
+//! * **Superposed path.** Each `L_g` entry is a `K`-term dot product,
+//!   within `γ_K·a_r` of `x_r·W_g` and below `(1 + γ_K)·a_r`; the `s − 1`
+//!   additions of `T_r` add at most `γ_{s−1}·s·(1 + γ_K)·a_r`. So
+//!   `|T_rc − s·z_rc| ≤ s·γ_{K+s−1}·a_r ≤ s·E_r`.
+//! * **Certificate.** Hence `|ẑ_rc − T_rc/s| ≤ 2E_r`, and for any classes
+//!   `k ≠ j` the exact gap `ẑ_rk − ẑ_rj` is at least `(T_rk − T_rj)/s −
+//!   4E_r`. Let `k` be the first maximum of `T_r`. When the top-two gap of
+//!   `T_r` exceeds `s·(2⁻³⁰ + 4E_r)`, every exact logit other than `ẑ_rk`
+//!   lies more than `2⁻³⁰` below it: `k` is the unique maximum and the
+//!   certified argmax above returns it from the logits alone.
+//!
+//! The test runs in floating point, so it is made against twice that
+//! bound: the row is certified when `T_rk − T_r(2nd) > s·τ_r` with
+//! `τ_r = 2·(2⁻³⁰ + 4·γ_{K+m+1}·a_r)`. The factor two absorbs the few
+//! relative roundings (each a few `u`) in computing `a_r`, `τ_r`, the
+//! product and the gap, keeps the exact path's own margin test
+//! `ẑ_j − ẑ_k < −2⁻³⁰` strict after rounding, and covers underflow (at
+//! most `2⁻¹⁰⁷⁵` absolute per product, against a margin of `2⁻³⁰`). A row
+//! with `a_r` not below `2⁹⁰⁰` — in particular any non-finite weight or
+//! feature — is never certified, which also rules out overflow on both
+//! paths, so every certified logit is finite. A coalition with any
+//! uncertified row gets `None` and is evaluated exactly by the caller;
+//! rows with two classes tied exactly (all-zero models among them) land
+//! there, since their gaps are zero.
 
 use numeric::stats::argmax;
 use numeric::Matrix;
@@ -143,7 +191,165 @@ impl Design {
     pub fn labels(&self) -> &[usize] {
         &self.labels
     }
+
+    /// The logits of every flat model in `models` over this design, with
+    /// the per-row certificate tolerances, for reading the classes of any
+    /// average of the models (see the module's "Superposed logits"
+    /// section). One GEMM per model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `models` is empty or a model's length is not
+    /// `(features + 1) × classes`.
+    pub fn superposition(&self, models: &[Vec<f64>]) -> LogitSuperposition {
+        assert!(!models.is_empty(), "superposition of zero models");
+        let (width, classes) = (self.x.cols(), self.num_classes);
+        let stride = self.len().next_multiple_of(SUPERPOSITION_LANES);
+        // One GEMM per model, scattered class-major into its slot: only
+        // one model's row-major logits exist at a time.
+        let mut logits = vec![0.0f64; models.len() * classes * stride];
+        for (g, (w, slot)) in models
+            .iter()
+            .zip(logits.chunks_exact_mut(classes * stride))
+            .enumerate()
+        {
+            assert_eq!(
+                w.len(),
+                width * classes,
+                "model {g} has {} weights, the design needs {width}x{classes}",
+                w.len()
+            );
+            let product = self.x.matmul(&Matrix::from_vec(width, classes, w.clone()));
+            for (r, row) in product.as_slice().chunks_exact(classes).enumerate() {
+                for (c, &z) in row.iter().enumerate() {
+                    slot[c * stride + r] = z;
+                }
+            }
+        }
+        // A non-finite weight makes M infinite: no row is ever certified.
+        let max_abs = models.iter().flatten().fold(0.0f64, |acc, &w| {
+            if w.is_finite() {
+                acc.max(w.abs())
+            } else {
+                f64::INFINITY
+            }
+        });
+        let gamma = gamma(width + models.len() + 1);
+        let tolerance = (0..self.len())
+            .map(|r| {
+                let scale = self.x.row(r).iter().map(|v| v.abs()).sum::<f64>() * max_abs;
+                if scale < SUPERPOSITION_SCALE_CAP {
+                    2.0 * (ARGMAX_MARGIN + 4.0 * gamma * scale)
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        LogitSuperposition {
+            classes,
+            stride,
+            logits,
+            tolerance,
+        }
+    }
 }
+
+/// The logits of `m` models over one [`Design`], from which the classes
+/// of any average of the models are read without a GEMM when a
+/// certificate shows they are exactly the mean model's own predictions
+/// (see the module's "Superposed logits" section).
+#[derive(Debug, Clone)]
+pub struct LogitSuperposition {
+    classes: usize,
+    /// Row count rounded up to a multiple of [`SUPERPOSITION_LANES`].
+    stride: usize,
+    /// The models' logits, model-major then class-major
+    /// (`models × classes × stride`, the padding rows zero), so the same
+    /// class of adjacent rows is contiguous and the sums and the top-two
+    /// scan vectorize across rows.
+    logits: Vec<f64>,
+    /// Per-row certificate tolerance `τ_r`, or `+∞` for a row that is
+    /// never certified.
+    tolerance: Vec<f64>,
+}
+
+/// Rows scanned together in [`LogitSuperposition::predict_mean`]: their
+/// sums and top-two state stay in registers across all classes.
+const SUPERPOSITION_LANES: usize = 8;
+
+impl LogitSuperposition {
+    /// The predictions [`LogisticModel::predict_design`] makes for the
+    /// mean of the models at `members`, when every row carries the
+    /// certificate; `None` as soon as one row does not, in which case the
+    /// caller evaluates the mean model exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is empty or names a model out of range.
+    pub fn predict_mean(&self, members: &[usize]) -> Option<Vec<usize>> {
+        const L: usize = SUPERPOSITION_LANES;
+        assert!(!members.is_empty(), "mean of zero models");
+        let span = self.classes * self.stride;
+        let models: Vec<&[f64]> = members
+            .iter()
+            .map(|&g| &self.logits[g * span..(g + 1) * span])
+            .collect();
+        let s = members.len() as f64;
+        // `T` for class `c` of the `L` rows from `i0`: the members' logits
+        // summed in the order given.
+        let class_sums = |c: usize, i0: usize| -> [f64; L] {
+            let at = c * self.stride + i0;
+            let lanes = |m: &[f64]| -> [f64; L] { m[at..at + L].try_into().expect("L lanes") };
+            let mut z = lanes(models[0]);
+            for m in &models[1..] {
+                let v = lanes(m);
+                for l in 0..L {
+                    z[l] += v[l];
+                }
+            }
+            z
+        };
+        let mut predictions = Vec::with_capacity(self.tolerance.len());
+        for (i0, tolerances) in (0..).step_by(L).zip(self.tolerance.chunks(L)) {
+            // Per row: the maximum, the runner-up (equal to the maximum
+            // on a tie) and the first index of the maximum, one class at
+            // a time. Every update is a float select, so the lanes
+            // vectorize; padding lanes are ignored.
+            let mut top = class_sums(0, i0);
+            let (mut second, mut argmax) = ([f64::NEG_INFINITY; L], [0.0f64; L]);
+            for c in 1..self.classes {
+                let z = class_sums(c, i0);
+                let class = c as f64;
+                for l in 0..L {
+                    let above = z[l] > top[l];
+                    let lower = if above { top[l] } else { z[l] };
+                    second[l] = if lower > second[l] { lower } else { second[l] };
+                    argmax[l] = if above { class } else { argmax[l] };
+                    top[l] = if above { z[l] } else { top[l] };
+                }
+            }
+            for (l, &tolerance) in tolerances.iter().enumerate() {
+                let certified = top[l] - second[l] > s * tolerance;
+                if !certified {
+                    return None;
+                }
+                predictions.push(argmax[l] as usize);
+            }
+        }
+        Some(predictions)
+    }
+}
+
+/// `γ_n = nu/(1 − nu)` with `u = 2⁻⁵³`: the relative error bound of an
+/// `n`-operation chain of rounded products and sums.
+fn gamma(n: usize) -> f64 {
+    let nu = n as f64 * (f64::EPSILON / 2.0);
+    nu / (1.0 - nu)
+}
+
+/// Rows with `‖x_r‖₁·M` at or above `2⁹⁰⁰` are never certified, so no
+/// logit on either path can overflow.
+const SUPERPOSITION_SCALE_CAP: f64 = f64::from_bits((1023 + 900) << 52);
 
 /// A trained softmax-regression model.
 ///
@@ -642,6 +848,117 @@ mod tests {
             let labels = (0..rows).map(|r| r % classes).collect();
             let data = Dataset::new(Matrix::from_vec(rows, features, x), labels, classes);
             assert_predictions_match_proba(&model, &data);
+        }
+    }
+
+    /// The mean model the exact path evaluates: members summed in order,
+    /// then scaled by the rounded `1/s`.
+    fn mean_model(models: &[Vec<f64>], members: &[usize]) -> Vec<f64> {
+        let mut sum = vec![0.0; models[0].len()];
+        for &g in members {
+            for (a, w) in sum.iter_mut().zip(&models[g]) {
+                *a += w;
+            }
+        }
+        let inv = 1.0 / members.len() as f64;
+        sum.iter().map(|v| v * inv).collect()
+    }
+
+    /// Every non-empty member set of `0..m`, ascending.
+    fn member_sets(m: usize) -> impl Iterator<Item = Vec<usize>> {
+        (1u32..1 << m).map(move |mask| (0..m).filter(|&g| mask >> g & 1 == 1).collect())
+    }
+
+    /// Asserts that every certified superposed prediction equals the
+    /// exact path's prediction for the mean model.
+    fn assert_superposition_exact(models: &[Vec<f64>], design: &Design) {
+        let superposition = design.superposition(models);
+        let (features, classes) = (design.num_features(), design.num_classes());
+        for members in member_sets(models.len()) {
+            if let Some(predicted) = superposition.predict_mean(&members) {
+                let mean =
+                    LogisticModel::from_flat(&mean_model(models, &members), features, classes);
+                assert_eq!(
+                    predicted,
+                    mean.predict_design(design),
+                    "members {members:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn superposition_defers_ties_zero_and_non_finite_models() {
+        let ds = SyntheticDigits::small().generate(22);
+        let design = Design::new(&ds.subset(&(0..40).collect::<Vec<_>>()));
+        let (features, classes) = (ds.num_features(), ds.num_classes);
+        // A bias-only model whose remaining classes sit at −1.
+        let flat = |head: &[f64]| {
+            let mut bias = head.to_vec();
+            bias.resize(classes, -1.0);
+            bias_model(features, &bias).to_flat()
+        };
+        let clear = flat(&[0.0, 3.0, 1.0]);
+        // Two classes tie exactly on every row.
+        let tied = flat(&[2.0, 2.0, 0.0]);
+        let zero = vec![0.0; (features + 1) * classes];
+        let superposition = design.superposition(&[clear.clone(), tied.clone(), zero.clone()]);
+        assert_eq!(superposition.predict_mean(&[0]), Some(vec![1; 40]));
+        assert_eq!(superposition.predict_mean(&[1]), None);
+        assert_eq!(superposition.predict_mean(&[2]), None);
+        // Duplicated models superpose to a doubled gap: still certified.
+        let duplicated = design.superposition(&[clear.clone(), clear.clone()]);
+        assert_eq!(duplicated.predict_mean(&[0, 1]), Some(vec![1; 40]));
+        assert_superposition_exact(&[clear.clone(), tied, zero, clear.clone()], &design);
+        // A non-finite weight anywhere voids every certificate, even for
+        // member sets without that model.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = clear.clone();
+            poisoned[7] = bad;
+            let superposition = design.superposition(&[clear.clone(), poisoned]);
+            assert_eq!(superposition.predict_mean(&[0]), None, "{bad}");
+            assert_eq!(superposition.predict_mean(&[0, 1]), None, "{bad}");
+        }
+    }
+
+    // Random models — smooth weights, coarse-grid weights that make exact
+    // and near ties common, and weights at the fixed-point bound — never
+    // certify a class the exact path of the mean model would not return.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_superposition_agrees_with_the_mean_model(
+            seed in any::<u64>(),
+            m in 1usize..=5,
+            features in 1usize..=8,
+            classes in 2usize..=10,
+            style in 0u8..3,
+        ) {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let bound = (1u64 << 39) as f64;
+            let models: Vec<Vec<f64>> = (0..m)
+                .map(|_| {
+                    (0..(features + 1) * classes)
+                        .map(|_| match style {
+                            0 => rng.next_gaussian() * 4.0,
+                            1 => rng.next_below(5) as f64 * 0.5 - 1.0,
+                            _ => match rng.next_below(4) {
+                                0 => bound,
+                                1 => -bound,
+                                _ => rng.next_gaussian(),
+                            },
+                        })
+                        .collect()
+                })
+                .collect();
+            let rows = 1 + rng.next_below(24) as usize;
+            let x: Vec<f64> = (0..rows * features)
+                .map(|_| rng.next_below(17) as f64)
+                .collect();
+            let labels = (0..rows).map(|r| r % classes).collect();
+            let data = Dataset::new(Matrix::from_vec(rows, features, x), labels, classes);
+            assert_superposition_exact(&models, &Design::new(&data));
         }
     }
 

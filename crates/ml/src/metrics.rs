@@ -35,8 +35,10 @@ pub fn model_accuracy(model: &LogisticModel, data: &Dataset) -> f64 {
 /// Accuracy of `model` over a prepared [`Design`] — bit-identical to
 /// [`model_accuracy`] on the underlying dataset, but without re-running
 /// the conditioning pass. The accuracy utilities build the test design
-/// once and evaluate every one of their `2^m` coalition models through
-/// this.
+/// once and evaluate their models through this; the contract's
+/// accuracy game reads most coalitions off superposed logits instead
+/// ([`crate::logreg::LogitSuperposition`]) and comes here only for the
+/// rest.
 ///
 /// The cost is one logits GEMM plus the certified argmax of
 /// [`LogisticModel::predict_design`]: a row's class is the first index

@@ -55,6 +55,13 @@ pub struct SvDiagnostics {
     /// Utility evaluations that missed the memo table and ran the
     /// underlying game; 0 when uncached.
     pub cache_misses: usize,
+    /// Coalition evaluations a game answered from a certified fast path
+    /// (the contract's superposed-logit accuracy game); 0 for games
+    /// without one. Observability only, like the cache counters.
+    pub certified_evals: usize,
+    /// Coalition evaluations whose certificate failed and that ran the
+    /// game's exact path instead; 0 for games without a fast path.
+    pub fallback_evals: usize,
 }
 
 /// The uniform output of every estimator.
@@ -79,8 +86,7 @@ impl From<McResult> for SvEstimate {
                 samples,
                 strata: 0,
                 truncated_marginals: r.truncated_marginals,
-                cache_hits: 0,
-                cache_misses: 0,
+                ..SvDiagnostics::default()
             },
         }
     }

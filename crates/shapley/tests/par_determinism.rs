@@ -22,6 +22,9 @@ use shapley::native::exact_shapley;
 use shapley::stratified::{stratified_shapley, StratifiedConfig};
 use shapley::utility::{model_utility_fn, utility_fn, RestrictedGame};
 
+use fedchain::contract_fl::{AccuracyGame, AccuracyUtility};
+use fl_ml::dataset::SyntheticDigits;
+
 static THREAD_CAP: Mutex<()> = Mutex::new(());
 
 /// Runs `f` under thread caps 1, 2, and automatic, asserting the three
@@ -83,6 +86,23 @@ fn group_sv_over_models_is_schedule_invariant() {
     for m in [1usize, 2, 5, 10] {
         let models = synthetic_models(m, 64);
         assert_schedule_invariant(|| shapley_over_group_models(&models, &utility).0);
+    }
+    // The contract's accuracy game (superposed logits with the generic
+    // game as its fallback) under the same caps: values and the
+    // certified/fallback split are identical, since every coalition is
+    // evaluated exactly once.
+    let test = SyntheticDigits::small()
+        .generate(5)
+        .subset(&(0..150).collect::<Vec<_>>());
+    let accuracy = AccuracyUtility::new(&test, 64, 10);
+    for m in [1usize, 2, 5, 8] {
+        let mut models = synthetic_models(m, 650);
+        // An all-zero group ties every class: its coalition falls back.
+        models[0].fill(0.0);
+        assert_schedule_invariant(|| {
+            let game = AccuracyGame::new(&models, &accuracy);
+            (Exact.estimate(&game), game.counts())
+        });
     }
 }
 

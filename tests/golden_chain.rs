@@ -138,3 +138,95 @@ fn golden_dropout_recovery() {
         },
     );
 }
+
+/// Flat run with 6 owners in m = 3 groups, scored by permutation-sampling
+/// `MonteCarlo` (cached coalition utilities), two rounds.
+#[test]
+fn golden_flat_monte_carlo() {
+    let mut config = demo();
+    config.num_owners = 6;
+    config.num_groups = 3;
+    config.sv_method = SvMethod::MonteCarlo { permutations: 5 };
+    check(
+        "flat_monte_carlo",
+        config,
+        &Golden {
+            tip: "495ca81094a22c72d39faa161c65507ba01b2ba46781c276c894ab5d0d3da2e7",
+            sv_bits: &[
+                0x3fda147ae147ae15,
+                0x3fd50369d0369d04,
+                0x3f947ae147ae147d,
+                0x3fc7ae147ae147b0,
+                0x3fd0e81b4e81b4e9,
+                0x3f947ae147ae147d,
+            ],
+            accuracy_bits: &[0x3fe4888888888889, 0x3fe9111111111111],
+        },
+    );
+}
+
+/// 16 owners sharded into k = 4 cohorts of m = 2 groups, `GroupExact`
+/// within each cohort and over the cohorts, two rounds.
+#[test]
+fn golden_sharded_k4_group_exact() {
+    let mut config = demo();
+    config.num_owners = 16;
+    config.num_cohorts = 4;
+    check(
+        "sharded_k4_group_exact",
+        config,
+        &Golden {
+            tip: "30a6c612dad0dc50d6468318c45c9528135a609080f9ab89c67b485f02f16b6a",
+            sv_bits: &[
+                0x3faf65d1365d1366,
+                0x3fb3fc6a0dff846d,
+                0x3fb0f45f8aed7a42,
+                0x3fb00b0e73c75c03,
+                0x3fb5e1a8c536fe1a,
+                0x3fa4f01ef424b335,
+                0x3fb37b425ed097b4,
+                0x3fb11faf7589303c,
+                0x3faf19174b648b2c,
+                0x3fac8d159e26af38,
+                0x3fa7f941f2efc6ae,
+                0x3fb278f10a5303ff,
+                0x3fa87094828b870a,
+                0x3face432bd6b97a2,
+                0x3fa24fa4fa4fa4f9,
+                0x3f94c29676d41217,
+            ],
+            accuracy_bits: &[0x3fde666666666666, 0x3fe5111111111111],
+        },
+    );
+}
+
+/// The paper's setting (9 owners, full-size synthetic digits) with
+/// m = 8 groups: 256 coalitions a round under `GroupExact`. The world is
+/// made as noisy as [`demo`]'s; on the clean paper world every coalition
+/// scores accuracy 1 and the vector would pin little.
+#[test]
+fn golden_paper_setting_m8() {
+    let mut config = FlConfig::paper_setting();
+    config.num_groups = 8;
+    config.data.within_class_std = 6.0;
+    config.sigma = 1.0;
+    check(
+        "paper_setting_m8",
+        config,
+        &Golden {
+            tip: "47c5c6608b38bcbda5bf0041566c2d5171f02400bc511ccbd50b8450a13881b0",
+            sv_bits: &[
+                0x3fac1c6c9853160c,
+                0x3fb97f03e54fa43d,
+                0x3fbb127003787920,
+                0x3fb93b687060c2a2,
+                0x3fb8e0e50f3a2d08,
+                0x3fb7d4f6eedd29f3,
+                0x3fb6f1d94032882b,
+                0x3fb4cf9394195ebe,
+                0x3fac1c6c9853160c,
+            ],
+            accuracy_bits: &[0x3febf5114f42815e],
+        },
+    );
+}
